@@ -378,6 +378,35 @@ func TestClientBreakerTelemetry(t *testing.T) {
 	}
 }
 
+// TestClientManifestFastFailCounted pins that a manifest attempt
+// refused by an open breaker is counted like a segment one: in
+// Stats.FastFails and in the telemetry counter alike, with the partial
+// Stats returned alongside the error.
+func TestClientManifestFastFailCounted(t *testing.T) {
+	_, ts := newTestServer(t, 20)
+	br := NewBreaker(BreakerConfig{Window: 2, MinSamples: 1, FailureThreshold: 0.5, OpenFor: time.Minute})
+	br.Allow()
+	br.Record(false)
+	if br.State() != BreakerOpen {
+		t.Fatalf("breaker = %v, want open before the session starts", br.State())
+	}
+	reg := telemetry.NewRegistry()
+	client, err := NewClient(ts.URL, &abr.Fixed{Rung: 0}, WithSharedBreaker(br), WithClientTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stream(context.Background())
+	if !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("Stream = %v, want ErrCircuitOpen", err)
+	}
+	if stats == nil || stats.FastFails != 1 {
+		t.Fatalf("stats = %+v, want FastFails 1 for the refused manifest attempt", stats)
+	}
+	if got := c(reg, "httpdash_client_breaker_fast_fails_total"); got != 1 {
+		t.Errorf("fast-fails counter = %d, want 1", got)
+	}
+}
+
 // TestBackoffHonorsRetryAfterHint pins that a server Retry-After hint
 // floors the backoff wait: the client does not come back early just to
 // be shed again.

@@ -276,4 +276,7 @@ func TestChaosManifestRetries(t *testing.T) {
 	if len(stats.Fetches) != 10 {
 		t.Errorf("fetched %d segments, want 10", len(stats.Fetches))
 	}
+	if stats.Retries != 2 {
+		t.Errorf("retries = %d, want the 2 manifest retries", stats.Retries)
+	}
 }

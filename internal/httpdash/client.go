@@ -134,7 +134,7 @@ type Client struct {
 	threshold  float64
 	retry      RetryPolicy
 	breaker    *Breaker      // nil = no circuit breaking
-	fetchAhead int           // 0 = strictly serial fetch loop
+	fetchAhead int           // prefetch window; 0 = one segment in flight
 	jitter     atomic.Uint64 // splitmix64 state for backoff jitter
 	tel        clientTelemetry
 	telReg     *telemetry.Registry
@@ -174,17 +174,16 @@ func WithBufferThreshold(sec float64) ClientOption {
 	}
 }
 
-// WithFetchAhead enables the bounded prefetch pipeline: while segment
-// k is being played, up to n further segments (k+1 … k+n) download
-// concurrently, so per-request latency and server think-time hide
-// behind playout instead of serialising in front of it. Results are
-// consumed strictly in segment order and every segment is fetched by
-// exactly one pipeline slot, sharing the retry budget and the Stats
-// accounting with the serial path. A prefetched segment's rung is
+// WithFetchAhead widens the fetch window: while segment k is being
+// played, up to n further segments (k+1 … k+n) download concurrently,
+// so per-request latency and server think-time hide behind playout
+// instead of serialising in front of it. Results are consumed strictly
+// in segment order and every segment is fetched by exactly one window
+// slot under its own retry budget. A prefetched segment's rung is
 // decided at issue time — from the throughput observed so far and the
 // buffer the in-flight segments will have produced — which is the
-// information a real look-ahead player has. Zero (the default) keeps
-// the strictly serial fetch loop.
+// information a real look-ahead player has. Zero (the default) is a
+// window of one segment: the strictly serial loop.
 func WithFetchAhead(n int) ClientOption {
 	return func(c *Client) {
 		if n > 0 {
@@ -269,7 +268,7 @@ func (c *Client) wireTelemetry() {
 	c.tel = clientTelemetry{
 		segments:   reg.Counter("httpdash_client_segments_total", "Segments fetched successfully."),
 		bytes:      reg.Counter("httpdash_client_bytes_total", "Segment payload bytes received."),
-		retries:    reg.Counter("httpdash_client_retries_total", "Re-attempted segment fetches."),
+		retries:    reg.Counter("httpdash_client_retries_total", "Re-attempted fetches, manifest and segments."),
 		downgrades: reg.Counter("httpdash_client_downgrades_total", "Ladder rung step-downs applied while retrying."),
 		timeouts:   reg.Counter("httpdash_client_timeouts_total", "Fetch attempts that hit the per-attempt deadline."),
 		truncated:  reg.Counter("httpdash_client_truncated_total", "Fetch attempts rejected for a short body."),
@@ -360,9 +359,11 @@ type Stats struct {
 	// than drain while the buffer was empty).
 	StallSec float64
 
-	// Resilience counters (all zero in single-attempt mode).
+	// Resilience counters. Retries, Timeouts and FastFails count
+	// manifest attempts as well as segment attempts; with a
+	// single-attempt policy Retries and Downgrades stay zero.
 
-	// Retries counts re-attempted segment fetches across the session.
+	// Retries counts re-attempted fetches across the session.
 	Retries int
 	// Downgrades counts rung step-downs applied while retrying.
 	Downgrades int
@@ -374,17 +375,18 @@ type Stats struct {
 	// breaker — retry budget spent without touching the network.
 	FastFails int
 	// AbandonedSegments counts segments whose retry budget ran out.
-	// The session ends at the first abandonment, so this is 0 or 1 in
-	// serial mode; with prefetch enabled, segments in flight alongside
-	// the fatal one can each abandon before the pipeline is torn down.
+	// The session ends at the first abandonment, so this is 0 or 1
+	// without WithFetchAhead; with a prefetch window, segments in
+	// flight alongside the fatal one can each abandon before the
+	// pipeline is torn down.
 	AbandonedSegments int
 }
 
 // fetchCounters is one fetch's slice of the session resilience
-// counters. Each fetch — serial or prefetched — accumulates privately
-// and is folded into Stats exactly once, in consumption order, so
-// concurrent prefetches never race on the session totals and never
-// double-count.
+// counters. Each fetch — the manifest or a segment — accumulates
+// privately and is folded into Stats exactly once (segments in
+// consumption order), so concurrent prefetches never race on the
+// session totals and never double-count.
 type fetchCounters struct {
 	retries     int
 	downgrades  int
@@ -394,14 +396,25 @@ type fetchCounters struct {
 	abandoned   int
 }
 
-// merge folds one fetch's counters into the session totals.
-func (s *Stats) merge(fc fetchCounters) {
+// merge folds one fetch's counters into the session totals and into
+// the telemetry mirror. It is the only place either is updated, so
+// the registry and Stats always agree.
+func (c *Client) merge(s *Stats, fc fetchCounters) {
+	if fc == (fetchCounters{}) {
+		return
+	}
 	s.Retries += fc.retries
 	s.Downgrades += fc.downgrades
 	s.Timeouts += fc.timeouts
 	s.Truncations += fc.truncations
 	s.FastFails += fc.fastFails
 	s.AbandonedSegments += fc.abandoned
+	c.tel.retries.Add(int64(fc.retries))
+	c.tel.downgrades.Add(int64(fc.downgrades))
+	c.tel.timeouts.Add(int64(fc.timeouts))
+	c.tel.truncated.Add(int64(fc.truncations))
+	c.tel.fastFails.Add(int64(fc.fastFails))
+	c.tel.abandoned.Add(int64(fc.abandoned))
 }
 
 // segmentSizesMB estimates per-rung segment sizes from the ladder (an
@@ -419,125 +432,25 @@ func segmentSizesMB(info manifestInfo) []float64 {
 // Stream downloads the whole presentation. The context cancels the
 // session between segment fetches and aborts in-flight requests.
 //
-// On a mid-session failure (abandoned segment, cancellation after the
-// manifest was fetched) Stream returns the partial Stats alongside the
-// error, so callers can still read the resilience counters.
+// The session is one loop — decide, download, observe, play — with up
+// to fetchAhead+1 segments in flight: the play-head segment plus the
+// prefetch window. Segments are issued strictly in segment order from
+// this goroutine and consumed strictly in segment order, so the
+// algorithm, which is not safe for concurrent use, only ever runs
+// here. Without WithFetchAhead the window holds one segment and the
+// loop is strictly serial. Buffer drain is the real elapsed wall time
+// between consecutive consumptions, so whatever part of a download
+// the window hid behind earlier segments does not drain the buffer.
+//
+// On failure Stream returns the partial Stats alongside the error, so
+// callers can still read the resilience counters.
 func (c *Client) Stream(ctx context.Context) (*Stats, error) {
-	info, err := c.fetchManifest(ctx)
+	stats := &Stats{}
+	info, err := c.fetchManifest(ctx, stats)
 	if err != nil {
-		return nil, err
+		return stats, err
 	}
 	c.algorithm.Reset()
-	if c.fetchAhead > 0 {
-		return c.streamPipelined(ctx, info)
-	}
-	return c.streamSerial(ctx, info)
-}
-
-// streamSerial is the strictly ordered fetch loop: decide, download,
-// observe, play — one segment at a time. It is the reference semantics
-// the prefetch pipeline must preserve.
-func (c *Client) streamSerial(ctx context.Context, info manifestInfo) (*Stats, error) {
-	stats := &Stats{}
-	bufferSec := 0.0
-	prevRung := -1
-	var weighted, brSum float64
-	sizesMB := segmentSizesMB(info)
-
-	for seg := 0; seg < info.SegmentCount; seg++ {
-		if err := ctx.Err(); err != nil {
-			return stats, fmt.Errorf("httpdash: cancelled at segment %d: %w", seg, err)
-		}
-		// Virtual pacing: once the buffer passes the threshold, play it
-		// down to just under the threshold instantly.
-		if bufferSec >= c.threshold {
-			bufferSec = c.threshold - info.SegmentSec
-		}
-
-		decision := abr.Context{
-			SegmentIndex:       seg,
-			Ladder:             info.Ladder,
-			SegmentSizesMB:     sizesMB,
-			SegmentDurationSec: info.SegmentSec,
-			PrevRung:           prevRung,
-			BufferSec:          bufferSec,
-			BufferThresholdSec: c.threshold,
-		}
-		chosen, err := c.algorithm.ChooseRung(decision)
-		if err != nil {
-			return stats, fmt.Errorf("httpdash: segment %d decision: %w", seg, err)
-		}
-		if chosen < 0 || chosen >= len(info.Ladder) {
-			return stats, fmt.Errorf("httpdash: segment %d: rung %d out of range", seg, chosen)
-		}
-
-		span := c.tracer.StartRoot("fetch_segment")
-		span.SetAttrInt("segment", int64(seg))
-		span.SetAttrInt("chosen_rung", int64(chosen))
-		var fc fetchCounters
-		rung, bytes, wall, attempts, err := c.fetchWithRetry(ctx, &fc, info, seg, chosen, span)
-		stats.merge(fc)
-		if err != nil {
-			span.SetError(err)
-			span.End()
-			return stats, fmt.Errorf("httpdash: segment %d: %w", seg, err)
-		}
-		span.SetAttrInt("rung", int64(rung))
-		span.SetAttrInt("bytes", bytes)
-		span.SetAttrInt("attempts", int64(attempts))
-		span.End()
-		thMbps := float64(bytes) * 8 / 1e6 / wall.Seconds()
-		c.algorithm.ObserveDownload(thMbps)
-
-		// Virtual playback: the download consumed wall.Seconds() of
-		// play-out; stalls accrue when the buffer runs dry.
-		drained := wall.Seconds()
-		if drained > bufferSec {
-			stats.StallSec += drained - bufferSec
-			c.tel.stallSec.Add(drained - bufferSec)
-			bufferSec = 0
-		} else {
-			bufferSec -= drained
-		}
-		bufferSec += info.SegmentSec
-
-		br := info.Ladder[rung].BitrateMbps
-		stats.Fetches = append(stats.Fetches, Fetch{
-			Segment:        seg,
-			Rung:           rung,
-			ChosenRung:     chosen,
-			Attempts:       attempts,
-			BitrateMbps:    br,
-			Bytes:          bytes,
-			WallTime:       wall,
-			ThroughputMbps: thMbps,
-		})
-		stats.TotalBytes += bytes
-		c.tel.segments.Inc()
-		c.tel.bytes.Add(bytes)
-		weighted += thMbps * float64(bytes)
-		brSum += br
-		if prevRung >= 0 && rung != prevRung {
-			stats.Switches++
-		}
-		prevRung = rung
-	}
-	finishStats(stats, weighted, brSum)
-	return stats, nil
-}
-
-// streamPipelined is the bounded prefetch loop: up to fetchAhead+1
-// segments are in flight at once (the play-head segment plus the
-// prefetch window), issued strictly in segment order from this
-// goroutine and consumed strictly in segment order, so the algorithm —
-// which is not safe for concurrent use — only ever runs here.
-// Downloads overlap each other and the (virtual) playout; buffer drain
-// is therefore measured against real elapsed wall-clock between
-// consecutive consumptions rather than against each download's
-// private wall time, which is what makes prefetch visibly reduce
-// stalls.
-func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats, error) {
-	stats := &Stats{}
 	sizesMB := segmentSizesMB(info)
 
 	// Fetches run under a child context so tearing the pipeline down
@@ -545,20 +458,11 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type result struct {
-		rung, attempts int
-		bytes          int64
-		wall           time.Duration
-		err            error
-		counters       fetchCounters
-		ready          time.Time // when the fetch finished (pipeline-wait accounting)
-	}
 	type inflight struct {
 		seg, chosen int
-		ch          chan result
+		ch          chan segmentResult
 		span        *tracing.Span // nil when tracing is disabled
 	}
-
 	depth := c.fetchAhead + 1
 	pending := make(chan inflight, depth)
 
@@ -571,7 +475,7 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 			select {
 			case f := <-pending:
 				res := <-f.ch
-				stats.merge(res.counters)
+				c.merge(stats, res.counters)
 				f.span.SetError(res.err)
 				f.span.End()
 			default:
@@ -582,7 +486,7 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 
 	bufferSec := 0.0
 	prevRung := -1   // last consumed rung (switch accounting)
-	prevIssued := -1 // last issued rung (decision context)
+	prevIssued := -1 // PrevRung of the next decision
 	var weighted, brSum float64
 	next := 0
 	lastConsume := time.Now()
@@ -594,8 +498,8 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 				return stats, fmt.Errorf("httpdash: cancelled at segment %d: %w", next, err)
 			}
 			// Decide with the buffer the in-flight segments will have
-			// produced by the time this one is needed, clamped the same
-			// way the serial loop clamps before each fetch.
+			// produced by the time this one is needed; once the buffer
+			// passes the threshold, playback drains it to just under.
 			projected := bufferSec + float64(len(pending))*info.SegmentSec
 			if projected >= c.threshold {
 				projected = c.threshold - info.SegmentSec
@@ -618,16 +522,11 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 				drain()
 				return stats, fmt.Errorf("httpdash: segment %d: rung %d out of range", next, chosen)
 			}
-			f := inflight{seg: next, chosen: chosen, ch: make(chan result, 1)}
+			f := inflight{seg: next, chosen: chosen, ch: make(chan segmentResult, 1)}
 			f.span = c.tracer.StartRoot("fetch_segment")
 			f.span.SetAttrInt("segment", int64(next))
 			f.span.SetAttrInt("chosen_rung", int64(chosen))
-			f.span.SetAttr("mode", "prefetch")
-			go func() {
-				var fc fetchCounters
-				rung, bytes, wall, attempts, err := c.fetchWithRetry(fctx, &fc, info, f.seg, f.chosen, f.span)
-				f.ch <- result{rung: rung, attempts: attempts, bytes: bytes, wall: wall, err: err, counters: fc, ready: time.Now()}
-			}()
+			go func() { f.ch <- c.fetchSegmentWithRetry(fctx, info, f.seg, f.chosen, f.span) }()
 			pending <- f
 			prevIssued = chosen
 			next++
@@ -635,12 +534,18 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 
 		f := <-pending
 		res := <-f.ch
-		stats.merge(res.counters)
+		c.merge(stats, res.counters)
 		if res.err != nil {
 			f.span.SetError(res.err)
 			f.span.End()
 			drain()
 			return stats, fmt.Errorf("httpdash: segment %d: %w", f.seg, res.err)
+		}
+		// Once the last issued segment is consumed, the next decision
+		// sees the rung actually fetched, after any retry downgrade —
+		// at depth 1 that is every segment, as in a serial player.
+		if f.seg == next-1 {
+			prevIssued = res.rung
 		}
 		// The gap between the fetch finishing and the play-head reaching
 		// it is the prefetch win; record it as a span so slow-trace
@@ -656,9 +561,8 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 		thMbps := float64(res.bytes) * 8 / 1e6 / res.wall.Seconds()
 		c.algorithm.ObserveDownload(thMbps)
 
-		// Virtual playback against real elapsed time: whatever part of
-		// this download the pipeline hid behind earlier segments does
-		// not drain the buffer.
+		// Virtual playback against real elapsed time; stalls accrue
+		// when the buffer runs dry.
 		if bufferSec >= c.threshold {
 			bufferSec = c.threshold - info.SegmentSec
 		}
@@ -695,55 +599,87 @@ func (c *Client) streamPipelined(ctx context.Context, info manifestInfo) (*Stats
 		}
 		prevRung = res.rung
 	}
-	finishStats(stats, weighted, brSum)
-	return stats, nil
-}
-
-// finishStats fills the session means once the fetch loop is done.
-func finishStats(stats *Stats, weighted, brSum float64) {
 	if stats.TotalBytes > 0 {
 		stats.MeanThroughputMbps = weighted / float64(stats.TotalBytes)
 	}
 	if n := len(stats.Fetches); n > 0 {
 		stats.MeanBitrateMbps = brSum / float64(n)
 	}
+	return stats, nil
 }
 
-// fetchWithRetry downloads segment seg, starting at the algorithm's
-// chosen rung and applying the retry policy: per-attempt deadline,
+// segmentResult is one segment fetch's outcome, handed from its
+// goroutine to the consuming loop.
+type segmentResult struct {
+	rung, attempts int
+	bytes          int64
+	wall           time.Duration // download time of the successful attempt
+	err            error
+	counters       fetchCounters
+	ready          time.Time // when the fetch finished (pipeline-wait accounting)
+}
+
+// fetchSegmentWithRetry downloads segment seg under fetchWithRetry,
+// starting at the algorithm's chosen rung. When the budget runs out
+// the segment is abandoned: the error wraps ErrSegmentAbandoned.
+func (c *Client) fetchSegmentWithRetry(ctx context.Context, info manifestInfo, seg, chosen int, span *tracing.Span) segmentResult {
+	var res segmentResult
+	rung, attempts, exhausted, err := c.fetchWithRetry(ctx, &res.counters, span, chosen,
+		func(ctx context.Context, rung int, att *tracing.Span) error {
+			url := fmt.Sprintf("%s/seg/%s/%d.m4s", c.baseURL, info.RepIDs[rung], seg)
+			start := time.Now()
+			n, err := c.fetchSegment(ctx, url, att.TraceParent())
+			res.bytes, res.wall = n, time.Since(start)
+			if err == nil {
+				att.SetAttrInt("bytes", n)
+			}
+			return err
+		})
+	if exhausted {
+		res.counters.abandoned++
+		err = fmt.Errorf("%w (rung %d after %d attempts): %w", ErrSegmentAbandoned, rung, attempts, err)
+	}
+	res.rung, res.attempts, res.err, res.ready = rung, attempts, err, time.Now()
+	return res
+}
+
+// fetchWithRetry is the one retry loop, for the manifest and for
+// segments alike. It calls attempt — one request at the given rung,
+// under the per-attempt deadline — until it succeeds, applying
 // exponential backoff with deterministic jitter (stretched to any
-// server Retry-After hint), and (optionally) one rung downgrade per
-// retry until the ladder floor. With a breaker configured, attempts
-// against an open circuit fail fast without network traffic — still
-// burning budget and downgrading, so a braking server degrades the
-// session's quality rather than killing it. It returns the rung
-// actually fetched and the attempt count; when the budget runs out the
-// error wraps ErrSegmentAbandoned. Resilience events accumulate into
-// fc (private to this fetch — the caller folds them into Stats), while
-// telemetry counters, which are atomic, are incremented live. Under a
-// non-nil span the fight leaves a trace: one child span per attempt
-// (carrying the traceparent the server joins under), backoff sleep,
-// and breaker fast-fail.
-func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, info manifestInfo, seg, chosen int, span *tracing.Span) (rung int, bytes int64, wall time.Duration, attempts int, err error) {
-	rung = chosen
-	var lastErr error
+// server Retry-After hint) between attempts. Under DowngradeOnRetry
+// each retry steps rung one ladder rung down until the floor; the
+// manifest has no ladder and passes rung 0, so it never downgrades.
+// With a breaker configured, attempts against an open circuit fail
+// fast without network traffic — still burning budget and
+// downgrading, so a braking server degrades the session's quality
+// rather than killing it. A 4xx answer is final: the request itself
+// is wrong and retrying cannot help.
+//
+// It returns the rung of the last attempt, the attempt count, whether
+// the budget ran out, and the error: on exhaustion, the last attempt's
+// failure. Resilience events accumulate into fc, private to this fetch
+// (the caller folds them into Stats). Under a non-nil span the fight
+// leaves a trace: one child span per attempt (carrying the traceparent
+// the server joins under), backoff sleep, and breaker fast-fail.
+func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, span *tracing.Span, rung int,
+	attempt func(ctx context.Context, rung int, att *tracing.Span) error) (int, int, bool, error) {
+	var err error
 	var hint time.Duration // Retry-After or breaker cool-down, consumed by the next backoff
-	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		attempts = attempt + 1
-		if attempt > 0 {
+	for try := 0; try < c.retry.MaxAttempts; try++ {
+		attempts := try + 1
+		if try > 0 {
 			fc.retries++
-			c.tel.retries.Inc()
 			if c.retry.DowngradeOnRetry && rung > 0 {
 				rung--
 				fc.downgrades++
-				c.tel.downgrades.Inc()
 			}
 			bo := span.StartChild("backoff")
 			bo.SetAttrDuration("hint", hint)
-			if err := c.backoff(ctx, attempt, hint); err != nil {
+			if err := c.backoff(ctx, try, hint); err != nil {
 				bo.SetError(err)
 				bo.End()
-				return rung, 0, 0, attempts, err
+				return rung, attempts, false, err
 			}
 			bo.End()
 			hint = 0
@@ -754,13 +690,12 @@ func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, info man
 		if c.breaker != nil {
 			if ok, wait := c.breaker.Allow(); !ok {
 				fc.fastFails++
-				c.tel.fastFails.Inc()
 				hint = wait
 				ff := span.StartChild("breaker_fast_fail")
 				ff.SetAttrDuration("cool_down", wait)
 				ff.SetStatus("fast_fail", "circuit open")
 				ff.End()
-				lastErr = fmt.Errorf("%w (cooling down %v)", ErrCircuitOpen, wait)
+				err = fmt.Errorf("%w (cooling down %v)", ErrCircuitOpen, wait)
 				continue
 			}
 		}
@@ -769,24 +704,20 @@ func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, info man
 		if c.retry.AttemptTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, c.retry.AttemptTimeout)
 		}
-		url := fmt.Sprintf("%s/seg/%s/%d.m4s", c.baseURL, info.RepIDs[rung], seg)
 		att := span.StartChild("attempt")
 		att.SetAttrInt("try", int64(attempts))
 		att.SetAttrInt("rung", int64(rung))
-		start := time.Now()
-		n, ferr := c.fetchSegment(attemptCtx, url, att.TraceParent())
-		elapsed := time.Since(start)
+		err = attempt(attemptCtx, rung, att)
 		deadlineHit := attemptCtx.Err() != nil // read before cancel() taints it
 		cancel()
-		if ferr == nil {
+		if err == nil {
 			if c.breaker != nil {
 				c.breaker.Record(true)
 			}
-			att.SetAttrInt("bytes", n)
 			att.End()
-			return rung, n, elapsed, attempts, nil
+			return rung, attempts, false, nil
 		}
-		att.SetError(ferr)
+		att.SetError(err)
 		att.End()
 		// The caller's context ending is a session cancellation, never a
 		// retryable fault — and it says nothing about the host's health,
@@ -795,10 +726,10 @@ func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, info man
 			if c.breaker != nil {
 				c.breaker.drop()
 			}
-			return rung, 0, 0, attempts, fmt.Errorf("cancelled mid-download: %w", ctx.Err())
+			return rung, attempts, false, fmt.Errorf("cancelled mid-download: %w", ctx.Err())
 		}
 		var se *statusError
-		isClientErr := errors.As(ferr, &se) && se.code < 500
+		isClientErr := errors.As(err, &se) && se.code < 500
 		if c.breaker != nil {
 			// Any response proves the host alive (4xx included); transport
 			// errors, timeouts, truncations, and 5xx count against it.
@@ -807,22 +738,16 @@ func (c *Client) fetchWithRetry(ctx context.Context, fc *fetchCounters, info man
 		switch {
 		case deadlineHit:
 			fc.timeouts++
-			c.tel.timeouts.Inc()
-		case errors.Is(ferr, ErrTruncated):
+		case errors.Is(err, ErrTruncated):
 			fc.truncations++
-			c.tel.truncated.Inc()
 		case isClientErr:
-			return rung, 0, 0, attempts, ferr // 4xx: not retryable
+			return rung, attempts, false, err
 		}
 		if se != nil && se.retryAfter > 0 {
 			hint = se.retryAfter
 		}
-		lastErr = ferr
 	}
-	fc.abandoned++
-	c.tel.abandoned.Inc()
-	return rung, 0, 0, attempts, fmt.Errorf("%w (rung %d after %d attempts): %w",
-		ErrSegmentAbandoned, rung, attempts, lastErr)
+	return rung, c.retry.MaxAttempts, true, err
 }
 
 // backoff sleeps for the attempt's jittered exponential backoff — or
@@ -870,74 +795,36 @@ func (c *Client) backoff(ctx context.Context, attempt int, hint time.Duration) e
 	}
 }
 
-// fetchManifest GETs and parses /manifest.mpd, retrying under the same
-// budget as segment fetches (without downgrades — there is only one
-// manifest) and under the same breaker: an open circuit fails manifest
-// attempts fast too.
-func (c *Client) fetchManifest(ctx context.Context) (info manifestInfo, err error) {
-	var lastErr error
-	var hint time.Duration
-	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt, hint); err != nil {
-				return info, fmt.Errorf("httpdash: %w", err)
-			}
-			hint = 0
-		}
-		if c.breaker != nil {
-			if ok, wait := c.breaker.Allow(); !ok {
-				c.tel.fastFails.Inc()
-				hint = wait
-				lastErr = fmt.Errorf("httpdash: manifest: %w (cooling down %v)", ErrCircuitOpen, wait)
-				continue
-			}
-		}
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if c.retry.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, c.retry.AttemptTimeout)
-		}
-		info, lastErr = c.fetchManifestOnce(attemptCtx)
-		cancel()
-		if lastErr == nil {
-			if c.breaker != nil {
-				c.breaker.Record(true)
-			}
-			return info, nil
-		}
-		if ctx.Err() != nil {
-			if c.breaker != nil {
-				c.breaker.drop()
-			}
-			return info, lastErr
-		}
-		var se *statusError
-		isClientErr := errors.As(lastErr, &se) && se.code < 500
-		if c.breaker != nil {
-			c.breaker.Record(isClientErr)
-		}
-		if isClientErr {
-			return info, lastErr
-		}
-		if se != nil && se.retryAfter > 0 {
-			hint = se.retryAfter
-		}
+// fetchManifest GETs and parses /manifest.mpd under fetchWithRetry —
+// the segments' budget and breaker, without downgrades — folding its
+// resilience counters into stats.
+func (c *Client) fetchManifest(ctx context.Context, stats *Stats) (manifestInfo, error) {
+	var info manifestInfo
+	var fc fetchCounters
+	_, _, _, err := c.fetchWithRetry(ctx, &fc, nil, 0, func(ctx context.Context, _ int, _ *tracing.Span) error {
+		var err error
+		info, err = c.fetchManifestOnce(ctx)
+		return err
+	})
+	c.merge(stats, fc)
+	if err != nil {
+		return info, fmt.Errorf("httpdash: manifest: %w", err)
 	}
-	return info, lastErr
+	return info, nil
 }
 
-func (c *Client) fetchManifestOnce(ctx context.Context) (info manifestInfo, err error) {
+func (c *Client) fetchManifestOnce(ctx context.Context) (manifestInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/manifest.mpd", nil)
 	if err != nil {
-		return info, fmt.Errorf("httpdash: build manifest request: %w", err)
+		return manifestInfo{}, fmt.Errorf("build request: %w", err)
 	}
 	resp, err := c.httpClient.Do(req)
 	if err != nil {
-		return info, fmt.Errorf("httpdash: fetch manifest: %w", err)
+		return manifestInfo{}, fmt.Errorf("fetch: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return info, fmt.Errorf("httpdash: manifest: %w",
-			&statusError{code: resp.StatusCode, status: resp.Status, retryAfter: parseRetryAfter(resp)})
+		return manifestInfo{}, &statusError{code: resp.StatusCode, status: resp.Status, retryAfter: parseRetryAfter(resp)}
 	}
 	return parseManifest(resp.Body)
 }

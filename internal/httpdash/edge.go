@@ -43,7 +43,9 @@ const (
 // (the origin's own hint when it shed, DefaultEdgeRetryAfter
 // otherwise), so clients and load generators classify edge failures
 // exactly like origin sheds — the overload invariants hold through the
-// extra tier.
+// extra tier. An origin 4xx is not a failure of the origin: the edge
+// passes its status through without Retry-After, so clients do not
+// retry a request that can never succeed.
 //
 // Construct with NewEdge; the zero value is unusable.
 type Edge struct {
@@ -143,7 +145,7 @@ func WithEdgeHTTPClient(hc *http.Client) EdgeOption {
 //	edgecache_hits_total           served from cache without an origin round trip
 //	edgecache_fills_total          origin fetches that filled the cache
 //	edgecache_stale_serves_total   stale entries served over an origin failure
-//	edgecache_errors_total         requests answered 503 (origin failed, nothing cached)
+//	edgecache_errors_total         requests answered with an error status (origin 4xx, or 503: origin failed, nothing cached)
 //	edgecache_shared_fills_total   misses that piggybacked on another request's fill
 //	edgecache_entries              resident entries (scrape time)
 //	edgecache_bytes                resident payload bytes (scrape time)
@@ -208,14 +210,14 @@ func (e *Edge) wireTelemetry() {
 		hits:     reg.Counter("edgecache_hits_total", "Segment requests served from the edge cache."),
 		fills:    reg.Counter("edgecache_fills_total", "Origin fetches that filled the edge cache."),
 		stale:    reg.Counter("edgecache_stale_serves_total", "Stale entries served over an origin failure."),
-		errs:     reg.Counter("edgecache_errors_total", "Edge requests answered 503 after an origin failure."),
+		errs:     reg.Counter("edgecache_errors_total", "Edge requests answered with an error status: an origin 4xx, or 503 after an origin failure."),
 		shared:   reg.Counter("edgecache_shared_fills_total", "Misses collapsed onto another request's origin fill."),
 	}
 	reg.GaugeFunc("edgecache_entries", "Entries resident in the edge cache (sampled at scrape time).",
 		func() float64 { return float64(e.cache.Stats().Entries) })
 	reg.GaugeFunc("edgecache_bytes", "Payload bytes resident in the edge cache (sampled at scrape time).",
 		func() float64 { return float64(e.cache.Stats().Bytes) })
-	reg.GaugeFunc("edgecache_evictions_total", "Entries displaced by the byte cap (sampled at scrape time).",
+	reg.CounterFunc("edgecache_evictions_total", "Entries displaced by the byte cap (sampled at scrape time).",
 		func() float64 { return float64(e.cache.Stats().Evictions) })
 }
 
@@ -234,7 +236,8 @@ type EdgeSnapshot struct {
 	// StaleServes answered with a stale entry because the origin
 	// failed inside the staleness window.
 	StaleServes int64 `json:"stale_serves"`
-	// Errors were answered 503 + Retry-After: origin failed, nothing
+	// Errors were answered with an error status: the origin's own 4xx,
+	// or 503 + Retry-After when the origin failed with nothing
 	// servable cached.
 	Errors int64 `json:"errors"`
 	// SharedFills counts singleflight followers (already in Hits).
@@ -411,13 +414,17 @@ func writeEntry(w http.ResponseWriter, ent *edgecache.Entry) {
 	_, _ = w.Write(ent.Data)
 }
 
-// answerFillFailure resolves a request whose origin fill failed:
-// serve the stale copy if one is inside the staleness window,
-// otherwise answer 503 with a Retry-After hint — the origin's own
-// hint when it shed, the edge default otherwise — so the failure is
-// classified as a shed, not an anonymous error, by every client.
+// answerFillFailure resolves a request whose origin fill failed. An
+// origin 4xx passes through as is: the request itself is wrong, and
+// neither a stale copy nor a retry can make it right. Otherwise serve
+// the stale copy if one is inside the staleness window, or answer 503
+// with a Retry-After hint — the origin's own hint when it shed, the
+// edge default otherwise — so the failure is classified as a shed, not
+// an anonymous error, by every client.
 func (e *Edge) answerFillFailure(w http.ResponseWriter, r *http.Request, span *tracing.Span, key string, ferr error, hint time.Duration, now time.Time) {
-	if ent := e.cache.Get(key); ent != nil {
+	var se *statusError
+	clientErr := errors.As(ferr, &se) && se.code < 500
+	if ent := e.cache.Get(key); ent != nil && !clientErr {
 		if age := now.Sub(ent.FilledAt); age <= e.freshFor+e.staleFor {
 			e.staleServes.Add(1)
 			e.tel.stale.Inc()
@@ -432,6 +439,10 @@ func (e *Edge) answerFillFailure(w http.ResponseWriter, r *http.Request, span *t
 	e.errors.Add(1)
 	e.tel.errs.Inc()
 	span.SetError(ferr)
+	if clientErr {
+		http.Error(w, http.StatusText(se.code), se.code)
+		return
+	}
 	if hint <= 0 {
 		hint = e.retryAfter
 	}

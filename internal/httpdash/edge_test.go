@@ -1,6 +1,8 @@
 package httpdash
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ecavs/internal/abr"
 	"ecavs/internal/edgecache"
 	"ecavs/internal/telemetry"
 	"ecavs/internal/tracing"
@@ -245,6 +248,66 @@ func TestEdgeShedPropagatesRetryAfter(t *testing.T) {
 	}
 }
 
+// TestEdgePassesOrigin4xxThrough pins that an origin 4xx is the
+// request's fault, not the origin's: the edge answers with the
+// origin's own status and no Retry-After, counts the request as an
+// error, and a client under DefaultRetryPolicy gives up after one
+// attempt instead of retrying a request that can never succeed.
+func TestEdgePassesOrigin4xxThrough(t *testing.T) {
+	edge, _, _ := newTestEdge(t, nil)
+	for _, path := range []string{"/seg/v0-144p/99999.m4s", "/seg/nope/1.m4s"} {
+		w := edgeGet(t, edge, path)
+		if w.Code != http.StatusNotFound {
+			t.Errorf("GET %s via edge = %d, want the origin's 404", path, w.Code)
+		}
+		if ra := w.Header().Get("Retry-After"); ra != "" {
+			t.Errorf("GET %s via edge carries Retry-After %q", path, ra)
+		}
+	}
+	snap := edge.Snapshot()
+	if snap.Errors != 2 {
+		t.Errorf("errors = %d, want 2", snap.Errors)
+	}
+	checkEdgeInvariant(t, snap)
+
+	// Segment 2 is missing at the origin; everything else is served.
+	srv := newBenchServer(t)
+	var missing atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/2.m4s") {
+			missing.Add(1)
+			http.NotFound(w, r)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+	viaEdge, err := NewEdge(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(viaEdge)
+	defer ts.Close()
+	client, err := NewClient(ts.URL, &abr.Fixed{Rung: 0}, WithRetryPolicy(DefaultRetryPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stream(context.Background())
+	var se *statusError
+	if !errors.As(err, &se) || se.code != http.StatusNotFound {
+		t.Fatalf("Stream = %v, want the origin's 404", err)
+	}
+	if errors.Is(err, ErrSegmentAbandoned) {
+		t.Errorf("a 404 was retried until abandonment: %v", err)
+	}
+	if got := missing.Load(); got != 1 {
+		t.Errorf("origin saw %d requests for the missing segment, want exactly 1", got)
+	}
+	if stats.Retries != 0 || len(stats.Fetches) != 2 {
+		t.Errorf("retries = %d, fetches = %d; want 0 retries after 2 clean segments", stats.Retries, len(stats.Fetches))
+	}
+}
+
 // TestEdgeClientClassifiesEdgeShedAsShed closes the loop on the
 // Retry-After bugfix at the client: a streaming client behind an edge
 // whose origin is gone must count fast-failing 503s as retryable sheds
@@ -369,6 +432,7 @@ func TestEdgeTelemetrySeries(t *testing.T) {
 		"edgecache_stale_serves_total 0",
 		"edgecache_errors_total 0",
 		"edgecache_entries 1",
+		"# TYPE edgecache_evictions_total counter\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

@@ -98,7 +98,7 @@ func TestServerSegmentEndpoint(t *testing.T) {
 	if got := float64(n) / 1e6; got < wantMB*0.99 || got > wantMB*1.01 {
 		t.Errorf("segment bytes = %.3f MB, want ≈ %.3f MB", got, wantMB)
 	}
-	if got := srv.Snapshot().Bytes; got != n {
+	if got := settledSnapshot(t, srv).Bytes; got != n {
 		t.Errorf("Snapshot().Bytes = %d, want %d", got, n)
 	}
 }
@@ -113,6 +113,11 @@ func TestServerErrorPaths(t *testing.T) {
 		{path: "/seg/bogus-rep/0.m4s", want: http.StatusNotFound},
 		{path: "/seg/v0-144p/999.m4s", want: http.StatusNotFound},
 		{path: "/seg/v0-144p/abc.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/+3.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/-3.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/03.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/00.m4s", want: http.StatusBadRequest},
+		{path: "/seg/v0-144p/.m4s", want: http.StatusBadRequest},
 		{path: "/seg/v0-144p/0.mp4", want: http.StatusBadRequest},
 		{path: "/seg/onlyonepart", want: http.StatusBadRequest},
 	}

@@ -14,11 +14,11 @@ type manifestInfo = dash.MPDInfo
 func parseManifest(r io.Reader) (manifestInfo, error) {
 	mpd, err := dash.ParseMPD(r)
 	if err != nil {
-		return manifestInfo{}, fmt.Errorf("httpdash: parse manifest: %w", err)
+		return manifestInfo{}, fmt.Errorf("parse: %w", err)
 	}
 	info, err := dash.InfoFromMPD(mpd)
 	if err != nil {
-		return manifestInfo{}, fmt.Errorf("httpdash: manifest info: %w", err)
+		return manifestInfo{}, fmt.Errorf("info: %w", err)
 	}
 	return info, nil
 }

@@ -211,6 +211,69 @@ func TestFetchAheadRetryStormCountsOnce(t *testing.T) {
 	}
 }
 
+// prevRungRecorder requests a fixed rung and records the PrevRung each
+// decision saw, by segment.
+type prevRungRecorder struct {
+	abr.Fixed
+	prev map[int]int
+}
+
+func (p *prevRungRecorder) ChooseRung(ctx abr.Context) (int, error) {
+	p.prev[ctx.SegmentIndex] = ctx.PrevRung
+	return p.Fixed.ChooseRung(ctx)
+}
+
+// Without a prefetch window the next decision must see the rung
+// actually fetched, after any retry downgrade, not the rung chosen:
+// segment 3's two 503s push it from rung 4 down to rung 2, so segment
+// 4 decides with PrevRung 2 while every other segment sees 4.
+func TestPrevRungIsFetchedRungAfterDowngrade(t *testing.T) {
+	script := faults.NewScript([]faults.Verdict{
+		{Kind: faults.Error5xx, Status: 503},
+		{Kind: faults.Error5xx, Status: 503},
+	})
+	_, ts := newTestServer(t, 20)
+	hc := &http.Client{
+		Timeout: 30 * time.Second,
+		Transport: &faults.RoundTripper{
+			Plan:   script,
+			Filter: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/3.m4s") },
+		},
+	}
+	alg := &prevRungRecorder{Fixed: abr.Fixed{Rung: 4}, prev: map[int]int{}}
+	client, err := NewClient(ts.URL, alg,
+		WithHTTPClient(hc), WithBufferThreshold(8),
+		WithRetryPolicy(RetryPolicy{
+			MaxAttempts:      4,
+			AttemptTimeout:   5 * time.Second,
+			BackoffBase:      time.Millisecond,
+			BackoffMax:       5 * time.Millisecond,
+			DowngradeOnRetry: true,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := stats.Fetches[3]; f.Rung != 2 || f.ChosenRung != 4 {
+		t.Fatalf("segment 3 fetched rung %d (chosen %d), want rung 2 after two downgrades from 4", f.Rung, f.ChosenRung)
+	}
+	for seg := 0; seg < 10; seg++ {
+		want := 4
+		switch seg {
+		case 0:
+			want = -1
+		case 4:
+			want = 2
+		}
+		if got := alg.prev[seg]; got != want {
+			t.Errorf("segment %d decided with PrevRung %d, want %d", seg, got, want)
+		}
+	}
+}
+
 // An unrecoverable prefetched segment must tear the pipeline down: the
 // typed abandonment error propagates at the failed segment's play
 // position, already-played segments keep their stats, and in-flight

@@ -460,12 +460,15 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown representation", http.StatusNotFound)
 		return
 	}
-	n, err := strconv.Atoi(strings.TrimSuffix(file, ".m4s"))
-	if err != nil {
+	// One spelling per segment: a sign or a leading zero ("+3", "03")
+	// would alias segment 3 and fill a separate edge cache entry.
+	num := strings.TrimSuffix(file, ".m4s")
+	n, err := strconv.Atoi(num)
+	if err != nil || num[0] == '+' || num[0] == '-' || (num[0] == '0' && len(num) > 1) {
 		http.Error(w, "bad segment number", http.StatusBadRequest)
 		return
 	}
-	if n < 0 || n >= len(s.segBytes[rung]) {
+	if n >= len(s.segBytes[rung]) {
 		http.Error(w, "no such segment", http.StatusNotFound)
 		return
 	}

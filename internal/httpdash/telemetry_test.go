@@ -29,6 +29,22 @@ func get(t *testing.T, url string) int64 {
 	return n
 }
 
+// settledSnapshot reads the server's snapshot once every handler has
+// returned. The server counts a chunk's bytes after its Write returns,
+// so a client can finish reading a body before the last chunk is
+// counted.
+func settledSnapshot(t *testing.T, srv *Server) Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Snapshot().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a handler was still in flight after 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return srv.Snapshot()
+}
+
 // TestServerSnapshotPerRung is the satellite contract: Snapshot
 // breaks requests/bytes down by rung and BytesSent stays the
 // compatible cross-rung total.
@@ -45,7 +61,7 @@ func TestServerSnapshotPerRung(t *testing.T) {
 	n0b := fetch(0, 1)
 	n3 := fetch(3, 0)
 
-	snap := srv.Snapshot()
+	snap := settledSnapshot(t, srv)
 	if len(snap.Rungs) != 6 {
 		t.Fatalf("snapshot has %d rungs, want the 6-rung test ladder", len(snap.Rungs))
 	}
@@ -84,7 +100,7 @@ func TestServerSnapshotCountsFaults(t *testing.T) {
 	get(t, url) // scripted 503
 	get(t, url) // scripted pass-through
 
-	snap := srv.Snapshot()
+	snap := settledSnapshot(t, srv)
 	if r := snap.Rungs[2]; r.Requests != 2 || r.Faults != 1 {
 		t.Errorf("rung 2 = %+v, want 2 requests / 1 fault", r)
 	}
@@ -127,7 +143,7 @@ func TestServerTelemetryExposition(t *testing.T) {
 		}
 	}
 
-	snap := srv.Snapshot()
+	snap := settledSnapshot(t, srv)
 	var telBytes, telRequests int64
 	for i := range snap.Rungs {
 		telBytes += srv.telBytes[i].Value()

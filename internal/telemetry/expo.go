@@ -57,8 +57,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, label, s.counter.Value())
 			case s.gauge != nil:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, label, formatFloat(s.gauge.Value()))
-			case s.gaugeFn != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, label, formatFloat(s.gaugeFn()))
+			case s.fn != nil:
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, label, formatFloat(s.fn()))
 			case s.hist != nil:
 				writeHistogram(bw, f, s)
 			}
@@ -127,8 +127,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				js.Value = float64(s.counter.Value())
 			case s.gauge != nil:
 				js.Value = s.gauge.Value()
-			case s.gaugeFn != nil:
-				js.Value = s.gaugeFn()
+			case s.fn != nil:
+				js.Value = s.fn()
 			case s.hist != nil:
 				js.Count = s.hist.Count()
 				js.Sum = s.hist.Sum()

@@ -20,6 +20,7 @@ func buildGoldenRegistry() *Registry {
 	g := r.Gauge("queue_depth", "Current queue depth.")
 	g.Set(3.5)
 	r.GaugeFunc("uptime_ratio", "Derived at scrape time.", func() float64 { return 0.25 })
+	r.CounterFunc("evictions_total", "Read at scrape time.", func() float64 { return 9 })
 	v := r.CounterVec("rung_requests_total", "Requests per ladder rung.", "rung")
 	v.With("0").Add(7)
 	v.With("3").Add(2)
@@ -47,6 +48,9 @@ queue_depth 3.5
 # HELP uptime_ratio Derived at scrape time.
 # TYPE uptime_ratio gauge
 uptime_ratio 0.25
+# HELP evictions_total Read at scrape time.
+# TYPE evictions_total counter
+evictions_total 9
 # HELP rung_requests_total Requests per ladder rung.
 # TYPE rung_requests_total counter
 rung_requests_total{rung="0"} 7

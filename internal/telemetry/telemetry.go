@@ -175,7 +175,7 @@ type series struct {
 	labelMap    map[string]string // the same labels, for JSON exposition
 	counter     *Counter
 	gauge       *Gauge
-	gaugeFn     func() float64
+	fn          func() float64 // scrape-time value (GaugeFunc, CounterFunc)
 	hist        *Histogram
 }
 
@@ -290,7 +290,21 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.lookup(name, help, kindGauge, "")
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f.seriesFor("", func(s *series) { s.gaugeFn = fn })
+	f.seriesFor("", func(s *series) { s.fn = fn })
+}
+
+// CounterFunc registers a counter read at scrape time, for a monotonic
+// total some other component already keeps (cache evictions, say): it
+// exports as TYPE counter without a mirror updated on every event. fn
+// must be safe for concurrent calls and must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	if r == nil || fn == nil {
+		return
+	}
+	f := r.lookup(name, help, kindCounter, "")
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f.seriesFor("", func(s *series) { s.fn = fn })
 }
 
 // Histogram registers (or returns the existing) unlabeled histogram

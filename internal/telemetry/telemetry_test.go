@@ -38,6 +38,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	v := reg.CounterVec("xv_total", "", "k")
 	gv := reg.GaugeVec("xv", "", "k")
 	reg.GaugeFunc("xf", "", func() float64 { return 1 })
+	reg.CounterFunc("xc_total", "", func() float64 { return 1 })
 
 	// None of these may panic or allocate per call.
 	c.Inc()
