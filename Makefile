@@ -1,13 +1,14 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test test-short race chaos obs loadtest overload tracesmoke edgesmoke vuln bench bench-diff benchsmoke experiments examples cover
+.PHONY: all check build vet test test-short race chaos obs loadtest overload tracesmoke edgesmoke perfsmoke vuln bench bench-diff benchsmoke experiments examples cover
 
 all: build vet test
 
 # check is the CI gate: build, vet, tests, the race detector, the
 # observability suite, a load-generator smoke run, the overload
-# shed-path smoke, the request-tracing smoke, and the edge-cache smoke.
-check: build vet test race obs loadtest overload tracesmoke edgesmoke
+# shed-path smoke, the request-tracing smoke, the edge-cache smoke, and
+# the repository benchmark's checks.
+check: build vet test race obs loadtest overload tracesmoke edgesmoke perfsmoke
 
 build:
 	go build ./...
@@ -81,6 +82,16 @@ tracesmoke:
 # service trace — proof the traceparent header survived both hops.
 edgesmoke:
 	go run ./cmd/loadgen -edge -rps 300 -duration 2s -video-sec 20 -rungs 0 -gate-hit-ratio 0.9 -trace-cap 4096 -trace-ratio 1 -json -gate-trace
+
+# perfsmoke runs the repository benchmark's own checks. perfbench is a
+# separate Go module (it imports this one through a replace directive),
+# so `go test ./...` here never builds it. Its unit tests include
+# TestEdgeMixMatchesCampaign, which re-derives the campaign's decision
+# shares; the 2s campaign run fails unless every 4000-session batch
+# DeepEquals the warm-up batch. Build outputs go to .bench_build/.
+perfsmoke:
+	cd perfbench && go test ./...
+	bash perfbench/run.sh --workload campaign --seed 1 --seconds 2 --trace 0
 
 # vuln scans the module against the Go vulnerability database. The
 # scanner is optional locally (it needs a network fetch to install);

@@ -169,7 +169,7 @@ func Run(cfg Config) (*Result, error) {
 					continue
 				}
 			}
-			if st.done && st.pl.BufferSec() <= 1e-9 {
+			if st.done && st.pl.BufferCmp(1e-9) <= 0 {
 				continue // session fully played out
 			}
 			// Playback drains in real time; time past the video's end

@@ -1,6 +1,7 @@
 package player
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -253,4 +254,79 @@ func TestDrainIntoMatchesDrain(t *testing.T) {
 		t.Errorf("diverged state: played %v/%v stall %v/%v buffer %v/%v",
 			a.PlayedSec(), b.PlayedSec(), a.StallSec(), b.StallSec(), a.BufferSec(), b.BufferSec())
 	}
+}
+
+// queueSum is BufferSec's left-to-right sum without its re-sync of the
+// running estimate, so the property test below can let the estimate
+// drift the way a pacing loop does.
+func queueSum(p *Player) float64 {
+	var sum float64
+	for _, q := range p.queue[p.head:] {
+		sum += q.DurationSec
+	}
+	return sum
+}
+
+// BufferCmp must answer exactly as the summed buffer does. Random
+// enqueue, drain and play-out sequences, with and without BufferSec
+// re-syncs, probe x at the exact sum and at ±1e-13, ±1e-9 and ±0.05
+// from it, plus the pacing threshold. Each probe runs on a copy of the
+// player, so a probe that falls back to the exact sum does not re-sync
+// the estimate the next operations keep drifting.
+func TestBufferCmpMatchesBufferSec(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	offsets := []float64{0, 1e-13, -1e-13, 1e-9, -1e-9, 0.05, -0.05}
+	var maxDrift float64
+	for trial := 0; trial < 40; trial++ {
+		threshold := 4 + rng.Float64()*40
+		p, err := New(threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resyncEvery := []int{1, 7, 1 << 30}[trial%3]
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 6:
+				p.OnSegment([]float64{2, 4, 1 + rng.Float64()*3, 1e-3}[rng.Intn(4)], float64(1+rng.Intn(3)))
+			case r < 15:
+				p.DrainInto(0.1, nil) // an idle pacing step
+			case r < 17:
+				p.DrainInto(rng.Float64()*3, nil)
+			case r < 18:
+				if p.head < len(p.queue) {
+					p.DrainInto(p.queue[p.head].DurationSec, nil) // exactly the head segment
+				}
+			case r < 19:
+				p.DrainInto(queueSum(p)*rng.Float64(), nil)
+			default:
+				if rng.Intn(10) == 0 {
+					p.FinishRemaining()
+				}
+			}
+			if op%resyncEvery == 0 {
+				p.BufferSec()
+			}
+			exact := queueSum(p)
+			maxDrift = max(maxDrift, math.Abs(p.bufEst-exact))
+			for _, off := range offsets {
+				x := exact + off
+				probe := *p
+				if got, want := probe.BufferCmp(x), cmp.Compare(exact, x); got != want {
+					t.Fatalf("trial %d op %d: BufferCmp(%v) = %d, exact sum %v compares %d (estimate %v)",
+						trial, op, x, got, exact, want, p.bufEst)
+				}
+			}
+			probe := *p
+			if got, want := probe.ShouldDownload(), exact < threshold; got != want {
+				t.Fatalf("trial %d op %d: ShouldDownload = %v with buffer %v, threshold %v", trial, op, got, exact, threshold)
+			}
+		}
+		if got, want := p.BufferCmp(threshold), cmp.Compare(p.BufferSec(), threshold); got != want {
+			t.Fatalf("trial %d: BufferCmp(threshold) = %d, want %d", trial, got, want)
+		}
+	}
+	if maxDrift > 1e-11 {
+		t.Errorf("estimate drifted %g s from the exact sum; the tolerance argument assumes ~1e-13", maxDrift)
+	}
+	t.Logf("largest estimate drift from the exact sum: %g s", maxDrift)
 }

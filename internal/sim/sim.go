@@ -317,12 +317,13 @@ func Run(cfg Config) (*Metrics, error) {
 		// Pace downloads: idle (radio silent, playback continues)
 		// while the buffer is above the threshold; with hysteresis,
 		// stay paused until it drains to the resume level.
+		// BufferCmp answers these tests exactly without summing the
+		// queue on every idle step.
 		for !abandoned() {
-			buf := pl.BufferSec()
-			if buf >= threshold {
+			if pl.BufferCmp(threshold) >= 0 {
 				paused = true
 			}
-			if !paused || buf <= resume {
+			if !paused || pl.BufferCmp(resume) <= 0 {
 				paused = false
 				break
 			}

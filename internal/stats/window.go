@@ -43,11 +43,9 @@ func (w *SlidingWindow) Cap() int { return len(w.buf) }
 // Values returns the samples in insertion order (oldest first) as a
 // fresh slice.
 func (w *SlidingWindow) Values() []float64 {
+	older, newer := w.runs()
 	out := make([]float64, 0, w.count)
-	for i := 0; i < w.count; i++ {
-		out = append(out, w.buf[(w.head+i)%len(w.buf)])
-	}
-	return out
+	return append(append(out, older...), newer...)
 }
 
 // Reset discards all samples.
@@ -61,14 +59,30 @@ func (w *SlidingWindow) Reset() {
 // them once per simulated segment, and the per-call copy was one of
 // the session hot path's few remaining allocations.
 
+// runs returns the held samples in insertion order as the ring's two
+// contiguous runs: buf[head:] up to the wrap, then the wrapped prefix
+// (empty until the ring wraps). Walking them in turn visits the same
+// samples in the same order as indexing (head+i) mod cap, without a
+// division per sample, so sums keep their order and their bits.
+func (w *SlidingWindow) runs() (older, newer []float64) {
+	end := w.head + w.count
+	if end <= len(w.buf) {
+		return w.buf[w.head:end], nil
+	}
+	return w.buf[w.head:], w.buf[:end-len(w.buf)]
+}
+
 // Mean returns the arithmetic mean of the held samples (0 if empty).
 func (w *SlidingWindow) Mean() float64 {
 	if w.count == 0 {
 		return 0
 	}
+	older, newer := w.runs()
 	var sum float64
-	for i := 0; i < w.count; i++ {
-		sum += w.buf[(w.head+i)%len(w.buf)]
+	for _, run := range [2][]float64{older, newer} {
+		for _, x := range run {
+			sum += x
+		}
 	}
 	return sum / float64(w.count)
 }
@@ -78,13 +92,15 @@ func (w *SlidingWindow) HarmonicMean() (float64, error) {
 	if w.count == 0 {
 		return 0, ErrEmpty
 	}
+	older, newer := w.runs()
 	var sumInv float64
-	for i := 0; i < w.count; i++ {
-		x := w.buf[(w.head+i)%len(w.buf)]
-		if x <= 0 {
-			return 0, ErrNonPositive
+	for _, run := range [2][]float64{older, newer} {
+		for _, x := range run {
+			if x <= 0 {
+				return 0, ErrNonPositive
+			}
+			sumInv += 1 / x
 		}
-		sumInv += 1 / x
 	}
 	return float64(w.count) / sumInv, nil
 }
@@ -94,10 +110,12 @@ func (w *SlidingWindow) RMS() float64 {
 	if w.count == 0 {
 		return 0
 	}
+	older, newer := w.runs()
 	var sum float64
-	for i := 0; i < w.count; i++ {
-		x := w.buf[(w.head+i)%len(w.buf)]
-		sum += x * x
+	for _, run := range [2][]float64{older, newer} {
+		for _, x := range run {
+			sum += x * x
+		}
 	}
 	return math.Sqrt(sum / float64(w.count))
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,52 @@ func TestSlidingWindowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The aggregates walk the ring as two contiguous runs; they must return
+// the very bits of a naive walk that indexes (head+i) mod cap in
+// insertion order, at every fill level and wrap position, and Values
+// must list the same samples in the same order.
+func TestSlidingWindowAggregatesBitwiseAfterWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for capacity := 1; capacity <= 9; capacity++ {
+		w := NewSlidingWindow(capacity)
+		for push := 0; push < 4*capacity+3; push++ {
+			w.Push(0.1 + rng.ExpFloat64()*3)
+			var sum, sumInv, sumSq float64
+			for i := 0; i < w.count; i++ {
+				x := w.buf[(w.head+i)%len(w.buf)]
+				if got := w.Values()[i]; got != x {
+					t.Fatalf("cap %d push %d: Values[%d] = %v, want %v", capacity, push, i, got, x)
+				}
+				sum += x
+				sumInv += 1 / x
+				sumSq += x * x
+			}
+			n := float64(w.count)
+			if got, want := w.Mean(), sum/n; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cap %d push %d: Mean = %v, naive %v", capacity, push, got, want)
+			}
+			hm, err := w.HarmonicMean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := n / sumInv; math.Float64bits(hm) != math.Float64bits(want) {
+				t.Fatalf("cap %d push %d: HarmonicMean = %v, naive %v", capacity, push, hm, want)
+			}
+			if got, want := w.RMS(), math.Sqrt(sumSq/n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cap %d push %d: RMS = %v, naive %v", capacity, push, got, want)
+			}
+		}
+	}
+	// A non-positive sample in the wrapped run is still rejected.
+	w := NewSlidingWindow(3)
+	for _, x := range []float64{1, 2, 3, 4, -1} {
+		w.Push(x)
+	}
+	if _, err := w.HarmonicMean(); err != ErrNonPositive {
+		t.Errorf("HarmonicMean with a wrapped non-positive sample: err = %v, want ErrNonPositive", err)
 	}
 }
 

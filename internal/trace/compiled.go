@@ -9,15 +9,17 @@ import (
 )
 
 // Compiled is an immutable once-per-trace compilation of the derived
-// series every session query needs (ISSUE 6 tentpole):
+// series every session query needs:
 //
 //   - prefix sums of the accelerometer magnitude and its square, so the
-//     Eq. 5 windowed RMS deviation VibrationAt becomes an O(log n) —
-//     O(1) amortized through a Cursor — query via
-//     sqrt(E[m²] − E[m]²) instead of an O(window) two-pass walk;
-//   - the sample/point timestamp arrays laid out for branchless binary
-//     search, with a cached last-index fast path (Cursor) for the
-//     monotone per-segment access pattern of a session replay;
+//     Eq. 5 windowed RMS deviation VibrationAt becomes an O(log n)
+//     query via sqrt(E[m²] − E[m]²) instead of an O(window) two-pass
+//     walk;
+//   - the sample/point timestamp arrays laid out for binary search,
+//     plus the mean accelerometer sample rate, from which a Cursor
+//     guesses each window edge of the forward-moving per-segment
+//     queries of a session replay (a few comparisons per query on a
+//     uniformly sampled stream; see Cursor);
 //   - the network step function, shared read-only so each session's
 //     TraceLink replays it without a per-session copy (Link).
 //
@@ -44,6 +46,10 @@ type Compiled struct {
 	dev    []float64
 	dev2   []float64
 	refMag float64
+	// accelRate is the mean sample rate (samples per second over the
+	// stream's span; 0 for a single sample or a zero span). Cursors use
+	// it to guess where a window edge lands before galloping to it.
+	accelRate float64
 
 	// Network step function (zero-order hold), column-split from the
 	// trace's points for cache-friendly binary search.
@@ -87,6 +93,9 @@ func Compile(t *Trace) (*Compiled, error) {
 		c.dev[i+1] = sumD.Sum()
 		c.dev2[i+1] = sumD2.Sum()
 	}
+	if span := c.accelT[n-1] - c.accelT[0]; span > 0 {
+		c.accelRate = float64(n-1) / span
+	}
 
 	c.netT = make([]float64, len(t.Network))
 	c.sigDBm = make([]float64, len(t.Network))
@@ -128,6 +137,74 @@ func searchGT(xs []float64, v float64) int {
 		}
 	}
 	return lo
+}
+
+// seek returns the first index k >= from with ts[k] >= v, or with
+// ts[k] > v when strict, given that no index below from qualifies: the
+// answer of searchGE or searchGT over the accelerometer timestamps.
+//
+// It guesses the index from the mean sample rate, anchored at
+// ts[from], gallops from the guess (steps 1, 2, 4, ...) until the
+// answer is bracketed, and binary-searches the bracket. The predicate
+// is monotone over the sorted timestamps, so any bracket that holds the
+// first qualifying index yields exactly that index: the guess decides
+// only the cost, a few comparisons when it is off by a sample or two
+// (uniform streams) and O(log d) when it is d samples off (irregular or
+// gappy streams).
+func (c *Compiled) seek(from int, v float64, strict bool) int {
+	ts := c.accelT
+	n := len(ts)
+	if from >= n || past(ts[from], v, strict) {
+		return from
+	}
+	g := n
+	if f := float64(from) + (v-ts[from])*c.accelRate; f < float64(n) {
+		g = from
+		if f > float64(from) {
+			g = int(f)
+		}
+	}
+	lo, hi := from, n // the answer lies in [lo, hi]
+	if g < n && !past(ts[g], v, strict) {
+		lo = g + 1 // the edge lies beyond the guess: gallop forward
+		for step := 1; lo < hi; step <<= 1 {
+			k := lo + step - 1
+			if k >= hi {
+				break
+			}
+			if past(ts[k], v, strict) {
+				hi = k
+				break
+			}
+			lo = k + 1
+		}
+	} else {
+		hi = g // the edge is at or before the guess: gallop backward
+		for step := 1; lo < hi; step <<= 1 {
+			k := hi - step
+			if k < lo {
+				break
+			}
+			if !past(ts[k], v, strict) {
+				lo = k + 1
+				break
+			}
+			hi = k
+		}
+	}
+	if strict {
+		return lo + searchGT(ts[lo:hi], v)
+	}
+	return lo + searchGE(ts[lo:hi], v)
+}
+
+// past reports whether timestamp x is at or past the edge v: x > v
+// when strict, x >= v otherwise.
+func past(x, v float64, strict bool) bool {
+	if strict {
+		return x > v
+	}
+	return x >= v
 }
 
 // levelFromPrefix evaluates Eq. 5 over the half-open sample index
@@ -203,12 +280,17 @@ func (c *Compiled) Link() *netsim.TraceLink {
 }
 
 // Cursor returns a per-session query cursor over the compilation. A
-// Cursor memoizes the last window/step indices so the monotone
-// per-segment access pattern of a session replay advances by a short
-// forward scan (O(1) amortized) instead of a fresh binary search;
-// non-monotone queries fall back to binary search transparently.
-// Cursors are cheap, hold all mutable state (the shared Compiled has
-// none), and must not be shared between goroutines.
+// Cursor remembers the last window's edge indices. When a query moves
+// an edge forward, the cursor guesses the new edge from the compiled
+// sample rate and gallops from the guess to the exact edge (seek), so
+// on a uniformly sampled stream a query costs a few comparisons however
+// far time advanced since the last one (a session's decisions are
+// about 2 s, a hundred 50 Hz samples, apart); when an edge moves
+// backwards it falls back to a binary search. Either way the edges, and
+// hence the levels, are exactly those of Compiled.VibrationAt. The
+// network step index advances by a short forward scan (points are
+// seconds apart). Cursors are cheap, hold all mutable state (the shared
+// Compiled has none), and must not be shared between goroutines.
 func (c *Compiled) Cursor() Cursor { return Cursor{c: c} }
 
 // Cursor is a stateful view over a Compiled trace optimized for
@@ -221,7 +303,8 @@ type Cursor struct {
 	nidx int // last network step index
 }
 
-// VibrationAt is Compiled.VibrationAt with the cached-index fast path.
+// VibrationAt is Compiled.VibrationAt through the cached edges: the
+// same sample indices, hence the same bits.
 func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 	if windowSec <= 0 {
 		windowSec = vibration.DefaultWindowSec
@@ -229,21 +312,19 @@ func (cu *Cursor) VibrationAt(tSec, windowSec float64) float64 {
 	ts := cu.c.accelT
 	loT := tSec - windowSec
 
+	// Each edge either stays (one comparison), moves forward past the
+	// cached sample (seek), or moves backwards (binary search).
 	i := cu.lo
-	if i > len(ts) || (i > 0 && ts[i-1] >= loT) {
+	if i > 0 && ts[i-1] >= loT {
 		i = searchGE(ts, loT) // window start moved backwards
-	} else {
-		for i < len(ts) && ts[i] < loT {
-			i++
-		}
+	} else if i < len(ts) && ts[i] < loT {
+		i = cu.c.seek(i+1, loT, false)
 	}
 	j := cu.hi
-	if j > len(ts) || (j > 0 && ts[j-1] > tSec) {
+	if j > 0 && ts[j-1] > tSec {
 		j = searchGT(ts, tSec) // query time moved backwards
-	} else {
-		for j < len(ts) && ts[j] <= tSec {
-			j++
-		}
+	} else if j < len(ts) && ts[j] <= tSec {
+		j = cu.c.seek(j+1, tSec, true)
 	}
 	cu.lo, cu.hi = i, j
 	return cu.c.levelFromPrefix(i, j)

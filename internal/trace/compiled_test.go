@@ -120,6 +120,96 @@ func TestCursorMonotoneMatchesStateless(t *testing.T) {
 	}
 }
 
+// uniformTrace builds a lengthSec trace sampled at the accelerometer's
+// uniform 50 Hz, the shape of every generated Table V trace.
+func uniformTrace(tb testing.TB, seed int64, lengthSec float64) *Trace {
+	tb.Helper()
+	gen, err := vibration.NewGenerator(vibration.DefaultSampleRateHz, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Trace{
+		LengthSec:         lengthSec,
+		NativeBitrateMbps: 2,
+		Network:           []netsim.TracePoint{{TimeSec: 0, SignalDBm: -90, ThroughputMBps: 2}},
+		Accel:             gen.Generate(vibration.Bus, 0, lengthSec),
+	}
+}
+
+// The cursor under a session's access pattern: decisions seconds apart
+// (so a window edge moves by a hundred 50 Hz samples), repeated times,
+// backward jumps, changing windows, queries on exact sample timestamps
+// and past the end. Over irregular, uniform and duplicate-timestamp
+// streams, every level must equal the stateless one bit for bit and
+// every cached edge must be the binary-search index.
+func TestCursorSessionSpacingMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var traces []*Trace
+	for k := 0; k < 4; k++ {
+		traces = append(traces, randomTrace(rng), uniformTrace(t, int64(k), 60+rng.Float64()*240))
+	}
+	dup := randomTrace(rng) // timestamps on a 0.1 s grid, many repeated
+	for i := range dup.Accel {
+		dup.Accel[i].TimeSec = math.Floor(dup.Accel[i].TimeSec*10) / 10
+	}
+	traces = append(traces, dup)
+
+	for n, tr := range traces {
+		c, err := Compile(tr)
+		if err != nil {
+			t.Fatalf("trace %d: Compile: %v", n, err)
+		}
+		ts := c.accelT
+		cur := c.Cursor()
+		tSec, window := -1.0, 6.0
+		for q := 0; q < 3000; q++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				tSec += rng.Float64() * 10 // forward, 0-10 s
+			case r < 14:
+				tSec += 2 // one 2 s segment
+			case r < 16:
+				// repeat the last time
+			case r < 18:
+				tSec -= rng.Float64() * 20 // backward
+			default:
+				tSec = ts[rng.Intn(len(ts))] // exactly on a sample
+			}
+			if tSec > tr.LengthSec+15 {
+				tSec = rng.Float64() * tr.LengthSec
+			}
+			if rng.Intn(10) == 0 {
+				switch rng.Intn(4) {
+				case 0:
+					window = 0 // default-window fallback
+				case 1:
+					window = tr.LengthSec * (1 + rng.Float64())
+				case 2:
+					// Lands the window start on (or within a rounding
+					// of) an earlier sample.
+					if k := searchGT(ts, tSec) - 1; k > 0 {
+						window = tSec - ts[rng.Intn(k)]
+					}
+				default:
+					window = 0.05 + rng.Float64()*12
+				}
+			}
+			got, want := cur.VibrationAt(tSec, window), c.VibrationAt(tSec, window)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trace %d query %d: Cursor.VibrationAt(%v, %v) = %v, stateless %v", n, q, tSec, window, got, want)
+			}
+			w := window
+			if w <= 0 {
+				w = vibration.DefaultWindowSec
+			}
+			if lo, hi := searchGE(ts, tSec-w), searchGT(ts, tSec); cur.lo != lo || cur.hi != hi {
+				t.Fatalf("trace %d query %d (t=%v, w=%v): cursor edges [%d, %d), binary search [%d, %d)",
+					n, q, tSec, w, cur.lo, cur.hi, lo, hi)
+			}
+		}
+	}
+}
+
 // The network step queries must match a TraceLink replay (the
 // simulator's ground truth for zero-order hold semantics).
 func TestCompiledNetworkMatchesTraceLink(t *testing.T) {
@@ -316,5 +406,27 @@ func BenchmarkVibrationAtCursor(b *testing.B) {
 			cur = c.Cursor()
 		}
 		cur.VibrationAt(t, 6)
+	}
+}
+
+// BenchmarkVibrationAtCursorSegmentSpacing queries a 50 Hz trace at a
+// session's decision spacing, 2 s apart, so each window edge moves by
+// a hundred samples per query.
+func BenchmarkVibrationAtCursorSegmentSpacing(b *testing.B) {
+	tr := uniformTrace(b, 3, 600)
+	c, err := Compile(tr)
+	if err != nil {
+		b.Fatalf("Compile: %v", err)
+	}
+	const steps = 290 // 2 s apart, inside the 600 s trace
+	cur := c.Cursor()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % steps
+		if k == 0 {
+			cur = c.Cursor()
+		}
+		cur.VibrationAt(float64(k)*2, 6)
 	}
 }
